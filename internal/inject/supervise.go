@@ -43,6 +43,8 @@ const (
 // policy. A quarantined run is reported through the returned run's
 // Status, not an error; the error return is reserved for cancellation.
 func supervise(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, error) {
+	// spent carries the counters of retried attempts into the recorded run.
+	var spent execution
 	for attempt := 0; ; attempt++ {
 		out, verdict, err := superviseAttempt(ctx, p, ex, opts)
 		if err != nil {
@@ -50,11 +52,15 @@ func supervise(ctx context.Context, p *Program, ex Experiment, opts Options) (ex
 		}
 		if verdict == attemptOK {
 			out.run.Retries = attempt
+			out.addTelemetry(spent)
 			return out, nil
 		}
 		if attempt >= opts.MaxRetries {
-			return quarantined(p, ex, verdict, attempt, out, opts), nil
+			out = quarantined(p, ex, verdict, attempt, out, opts)
+			out.addTelemetry(spent)
+			return out, nil
 		}
+		spent.addTelemetry(out)
 		if err := backoff(ctx, attempt); err != nil {
 			return execution{}, err
 		}
@@ -81,7 +87,9 @@ func superviseAttempt(ctx context.Context, p *Program, ex Experiment, opts Optio
 				}}
 			}
 		}()
-		ch <- executeScoped(p, ex, opts)
+		// Scoped sessions need no exclusive slot, so execute cannot fail.
+		out, _ := execute(p, ex, opts, true)
+		ch <- out
 	}()
 	var expire <-chan time.Time
 	if opts.RunTimeout > 0 {
@@ -124,8 +132,12 @@ func quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int,
 	// one keeps the diffless original rather than a run it never had).
 	if opts.Snapshot.Fingerprinted() && needsDiffRecovery(last.run) {
 		opts.Snapshot = core.SnapshotCapture
-		if replay := executeScopedOnce(p, ex, opts); replay.run.Escaped != nil && replay.run.Escaped.Foreign {
-			last = replay
+		replay, _ := executeLazily(p, ex, opts, true)
+		if replay.run.Escaped != nil && replay.run.Escaped.Foreign {
+			last = adoptReplay(last, replay)
+		} else {
+			last.addTelemetry(replay)
+			last.stats.Replays++
 		}
 	}
 	last.run.Status = RunUndetermined

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Compiled per-type encoding plans. Both Capture and Fingerprint walk the
@@ -11,11 +12,17 @@ import (
 // facts on every node: the kind dispatch, the type string (reflect builds
 // it on each call), struct field names (reflect.Type.Field allocates a
 // fresh Index slice per call), and scalar sizes. A typePlan computes all
-// of that once per reflect.Type and caches it in a package-level sync.Map,
-// so the per-node cost of both encoders drops to one lock-free map read.
+// of that once per reflect.Type and caches it in a package-level sync.Map.
+// Plans also link the plans of their static child types (struct fields,
+// pointer/slice/array elements, map values), so a traversal looks up the
+// map once per root and follows pointers from there; only interfaces,
+// whose dynamic type is known per value, go back to the map, through a
+// one-entry cache of the last dynamic type seen.
 
 // typePlan is the compiled encoding recipe for one reflect.Type.
 type typePlan struct {
+	// typ is the type the plan was compiled for.
+	typ reflect.Type
 	// kind is the reflect kind driving the encoder dispatch.
 	kind reflect.Kind
 	// typeStr is the interned Type.String() — the Node.Type of every node
@@ -32,6 +39,24 @@ type typePlan struct {
 	byteElem bool
 	// byteArray marks [N]byte-shaped arrays (large-leaf framing path).
 	byteArray bool
+	// elem is the plan of the element type of a pointer, slice or array,
+	// or of the value type of a map.
+	elem *typePlan
+	// dyn caches, for an interface type, the plan of the dynamic type it
+	// last held.
+	dyn atomic.Pointer[typePlan]
+}
+
+// dynamic returns the plan of t, the dynamic type of a value held in an
+// interface of this plan's type. Interface slots usually hold one type
+// over and over, so the last type seen is checked before the map.
+func (p *typePlan) dynamic(t reflect.Type) *typePlan {
+	if d := p.dyn.Load(); d != nil && d.typ == t {
+		return d
+	}
+	d := planFor(t)
+	p.dyn.Store(d)
+	return d
 }
 
 // fieldPlan is one struct field of a compiled plan.
@@ -42,6 +67,8 @@ type fieldPlan struct {
 	name string
 	// labelHash is strHash64(name), the edge label in Fingerprint.
 	labelHash uint64
+	// plan is the field type's plan.
+	plan *typePlan
 }
 
 // typePlans caches *typePlan by reflect.Type. Types are process-immutable,
@@ -49,36 +76,60 @@ type fieldPlan struct {
 // number of distinct types the program snapshots.
 var typePlans sync.Map
 
-// planFor returns the compiled plan for t, compiling and caching it on
-// first sight. Safe for concurrent use; a racing first sight compiles
-// twice and keeps one.
+// planFor returns the compiled plan for t, compiling and caching it (and
+// every plan it links) on first sight. Safe for concurrent use: a racing
+// first sight compiles twice and publishes one plan per type; the losing
+// compile's linked plans are equivalent copies, so traversals that
+// follow them encode identically.
 func planFor(t reflect.Type) *typePlan {
 	if p, ok := typePlans.Load(t); ok {
 		return p.(*typePlan)
 	}
-	p, _ := typePlans.LoadOrStore(t, compilePlan(t))
+	fresh := make(map[reflect.Type]*typePlan)
+	compilePlan(t, fresh)
+	// Publish only once every linked plan is complete, so no reader ever
+	// follows a link into a half-built plan.
+	for typ, p := range fresh {
+		typePlans.LoadOrStore(typ, p)
+	}
+	p, _ := typePlans.Load(t)
 	return p.(*typePlan)
 }
 
-// compilePlan derives the plan for one type.
-func compilePlan(t reflect.Type) *typePlan {
+// compilePlan derives the plan for t and, recursively, the plans of its
+// static child types, recording new plans in fresh. A recursive type
+// links back to its own plan through fresh.
+func compilePlan(t reflect.Type, fresh map[reflect.Type]*typePlan) *typePlan {
+	if p, ok := typePlans.Load(t); ok {
+		return p.(*typePlan)
+	}
+	if p, ok := fresh[t]; ok {
+		return p
+	}
 	p := &typePlan{
+		typ:     t,
 		kind:    t.Kind(),
 		typeStr: t.String(),
 		size:    int(t.Size()),
 	}
 	p.typeHash = strHash64(p.typeStr)
+	fresh[t] = p
 	switch p.kind {
 	case reflect.Struct:
 		p.fields = make([]fieldPlan, t.NumField())
 		for i := range p.fields {
-			name := t.Field(i).Name
-			p.fields[i] = fieldPlan{index: i, name: name, labelHash: strHash64(name)}
+			f := t.Field(i)
+			p.fields[i] = fieldPlan{index: i, name: f.Name, labelHash: strHash64(f.Name),
+				plan: compilePlan(f.Type, fresh)}
 		}
 	case reflect.Slice:
 		p.byteElem = t.Elem().Kind() == reflect.Uint8
+		p.elem = compilePlan(t.Elem(), fresh)
 	case reflect.Array:
 		p.byteArray = t.Elem().Kind() == reflect.Uint8
+		p.elem = compilePlan(t.Elem(), fresh)
+	case reflect.Pointer, reflect.Map:
+		p.elem = compilePlan(t.Elem(), fresh)
 	}
 	return p
 }

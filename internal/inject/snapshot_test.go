@@ -73,6 +73,11 @@ func TestFingerprintNoCacheCampaignIdentity(t *testing.T) {
 	if cached.SnapshotCache.Misses == 0 {
 		t.Errorf("cached campaign reported no cache traffic: %+v", cached.SnapshotCache)
 	}
+	// The identity must hold while the lazy rule skips snapshots, i.e.
+	// while the cache sees generation bumps from calls it never hashed.
+	if cached.Snapshots.Skipped == 0 || nocache.Snapshots.Skipped == 0 {
+		t.Errorf("no snapshots skipped (cached %+v, nocache %+v)", cached.Snapshots, nocache.Snapshots)
+	}
 }
 
 // TestFingerprintRecoveryFillsEveryDiff asserts the recovery invariant

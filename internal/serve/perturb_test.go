@@ -20,43 +20,53 @@ func perturbSpec() serve.JobSpec {
 
 // TestPerturbedJobByteIdentity: a multi-strategy campaign executed by the
 // in-process worker pool stores the same report and log bytes a local
-// fadetect run with the same -perturb options produces.
+// fadetect run with the same -perturb options produces. LinkedList's
+// oblivious runs crash with foreign panics, so its log carries recorded
+// stacks, which must not depend on the entry point that ran the campaign.
 func TestPerturbedJobByteIdentity(t *testing.T) {
 	_, c, _ := bootServer(t, t.TempDir(), 2, 16)
 	ctx := context.Background()
 
-	id, err := c.Submit(ctx, perturbSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Wait(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != serve.StateDone {
-		t.Fatalf("job = %+v, want done", st)
-	}
+	for _, spec := range []serve.JobSpec{
+		perturbSpec(),
+		{App: "LinkedList", Perturb: "nth=2,burst=32,defer,oblivious"},
+	} {
+		id, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != serve.StateDone {
+			t.Fatalf("%s: job = %+v, want done", spec.App, st)
+		}
 
-	wantLog, wantReport, wantCode := localReference(t, perturbSpec())
-	if st.ExitCode != wantCode {
-		t.Fatalf("exit code %d, want %d", st.ExitCode, wantCode)
-	}
-	if !strings.Contains(wantReport, "perturbation models:") {
-		t.Fatal("reference report carries no strategy section")
-	}
-	gotReport, err := c.Report(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotReport) != wantReport {
-		t.Errorf("stored report differs from local render:\n--- server\n%s\n--- local\n%s", gotReport, wantReport)
-	}
-	gotLog, err := c.Log(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotLog) != string(wantLog) {
-		t.Error("stored log differs from local replog.Write output")
+		wantLog, wantReport, wantCode := localReference(t, spec)
+		if st.ExitCode != wantCode {
+			t.Fatalf("%s: exit code %d, want %d", spec.App, st.ExitCode, wantCode)
+		}
+		if !strings.Contains(wantReport, "perturbation models:") {
+			t.Fatalf("%s: reference report carries no strategy section", spec.App)
+		}
+		if spec.App == "LinkedList" && !strings.Contains(string(wantLog), `"stack":`) {
+			t.Fatal("LinkedList: reference log carries no foreign-panic stack")
+		}
+		gotReport, err := c.Report(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotReport) != wantReport {
+			t.Errorf("%s: stored report differs from local render:\n--- server\n%s\n--- local\n%s", spec.App, gotReport, wantReport)
+		}
+		gotLog, err := c.Log(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotLog) != string(wantLog) {
+			t.Errorf("%s: stored log differs from local replog.Write output", spec.App)
+		}
 	}
 }
 

@@ -9,8 +9,7 @@
 //
 // The -run-timeout/-retries flags (flag parity with fadetect) supervise
 // each (size, fraction) cell so a wedged host fails the sweep loudly
-// instead of hanging it; supervised cells run on goroutine-scoped
-// sessions.
+// instead of hanging it.
 //
 // -json FILE skips the Figure 5 sweep and instead runs the snapshot-engine
 // benchmark suite (capture vs fingerprint ablation, detect prologue,

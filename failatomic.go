@@ -151,12 +151,13 @@ type DetectOptions struct {
 	// "restricting the amount of parallelism").
 	Serialize bool
 	// Parallelism explores the injection-point space with this many worker
-	// goroutines (0 or 1 = sequential). Each worker runs its own
+	// goroutines (0 or 1 = sequential). Every run binds its own
 	// goroutine-scoped session, and runs are merged in point order, so a
-	// deterministic single-goroutine workload classifies identically to a
-	// sequential campaign — only faster. Workloads that spawn goroutines
-	// must stay sequential (scoped sessions do not follow child
-	// goroutines).
+	// deterministic workload classifies identically to a sequential
+	// campaign — only faster. In the default build a bound session follows
+	// the goroutines the workload spawns; under -tags
+	// failatomic_portable_gls it does not, so calls on spawned goroutines
+	// go unobserved there, in sequential campaigns too.
 	Parallelism int
 	// RunTimeout bounds each injection run; a run that exceeds it is
 	// abandoned and the point retried or quarantined instead of hanging
@@ -343,10 +344,10 @@ type ProtectOptions struct {
 
 // Protect installs the masking runtime for production use: each listed
 // method is wrapped with checkpoint-on-entry / rollback-on-panic, making
-// it failure atomic to its callers. Exactly one global session (Protect,
-// or a sequential Detect) can be installed at a time; Close releases it.
-// Parallel campaigns use goroutine-scoped sessions and are not subject to
-// the exclusivity.
+// it failure atomic to its callers. The runtime is process-wide, so only
+// one Protect can be installed at a time; Close releases it. Detect runs
+// every injection run on its own goroutine-scoped session and may run
+// while a Protect is installed.
 func Protect(methods []string, opts ProtectOptions) (*Protection, error) {
 	if len(methods) == 0 && !opts.All {
 		return nil, fmt.Errorf("failatomic: Protect needs methods or All")

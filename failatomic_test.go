@@ -239,21 +239,33 @@ func TestDetectParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDetectParallelCoexistsWithProtect runs a parallel detection campaign
-// while a Protect session occupies the global slot — the coexistence the
-// scoped registry was built for.
+// TestDetectParallelCoexistsWithProtect runs sequential and parallel
+// detection campaigns while a Protect session occupies the global slot —
+// the coexistence the scoped registry was built for. Each must classify
+// every method exactly as it does with no Protect installed.
 func TestDetectParallelCoexistsWithProtect(t *testing.T) {
-	p, err := failatomic.Protect([]string{"counter.Add"}, failatomic.ProtectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	result, err := failatomic.Detect(context.Background(), counterProgram(), failatomic.DetectOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	na := result.NonAtomicMethods()
-	if len(na) != 1 || na[0] != "counter.Add" {
-		t.Fatalf("NonAtomicMethods = %v (campaign must use its own scoped sessions)", na)
+	for _, workers := range []int{0, 2} {
+		want, err := failatomic.Detect(context.Background(), counterProgram(), failatomic.DetectOptions{Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := failatomic.Protect([]string{"counter.Add"}, failatomic.ProtectOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := failatomic.Detect(context.Background(), counterProgram(), failatomic.DetectOptions{Parallelism: workers})
+		p.Close()
+		if err != nil {
+			t.Fatalf("Parallelism %d: Detect under Protect: %v", workers, err)
+		}
+		na := got.NonAtomicMethods()
+		if len(na) != 1 || na[0] != "counter.Add" {
+			t.Fatalf("Parallelism %d: NonAtomicMethods = %v (campaign must use its own scoped sessions)", workers, na)
+		}
+		for name, rep := range want.Methods {
+			if c := got.Methods[name].Classification; c != rep.Classification {
+				t.Errorf("Parallelism %d: %s: %v under Protect vs %v without", workers, name, c, rep.Classification)
+			}
+		}
 	}
 }

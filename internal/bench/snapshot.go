@@ -116,15 +116,13 @@ func SnapshotSuite(ctx context.Context, perturb string) ([]Result, error) {
 		mode := mode
 		out = append(out, measure("enter-detect/"+mode.String(), func(b *testing.B) {
 			session := core.NewSession(core.Config{Detect: true, Snapshot: mode})
-			if err := core.Install(session); err != nil {
-				b.Fatal(err)
-			}
-			defer core.Uninstall(session)
 			target := harness.NewBenchTarget(4 << 10)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				target.Work()
-			}
+			session.Bind(func() {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					target.Work()
+				}
+			})
 		}))
 	}
 

@@ -6,32 +6,49 @@ import (
 )
 
 // Goroutine-scoped session binding. The paper's system is single-threaded
-// and the legacy Install/Uninstall global slot mirrors that; scoped
-// bindings lift the restriction so independent injector runs (one fresh
-// session each) can execute concurrently. A binding maps a goroutine-local
-// key (see gls_label.go / gls_portable.go) to a session in a sharded
-// registry; Enter consults the registry only when at least one binding
-// exists and falls back to the legacy global, so every existing call site
-// keeps working and the no-session fast path stays a single atomic load.
+// and the Install/Uninstall global slot mirrors that; scoped bindings lift
+// the restriction so independent injector runs (one fresh session each)
+// can execute concurrently. Every injector run binds; the global slot
+// serves only production masking (failatomic.Protect). A binding maps a
+// goroutine-local key (see gls_label.go / gls_portable.go) to a session in
+// a sharded registry; Enter consults the registry only when at least one
+// binding exists and falls back to the global, and the no-session fast
+// path stays a single atomic load.
 
-// nBindShards spreads bindings over independently locked maps so worker
+// nBindShards spreads bindings over independently locked lists so worker
 // pools don't serialize on one mutex. Power of two for cheap masking.
 const nBindShards = 64
 
+// binding maps one goroutine-local key to its session. Only next changes
+// after a binding is published, so readers walk a shard's list without
+// taking its lock. Lists hold the newest binding first: a nested Bind on
+// the same key (the portable build's goroutine id) shadows the outer
+// binding until it is unlinked.
+type binding struct {
+	key  uintptr
+	s    *Session
+	next atomic.Pointer[binding]
+}
+
 type bindShard struct {
-	mu sync.RWMutex
-	m  map[uintptr]*Session
+	// mu serializes the writers (Bind and its unbind); readers only load.
+	mu   sync.Mutex
+	head atomic.Pointer[binding]
 	// pad keeps adjacent shards on distinct cache lines; without it two
-	// shards share a 64-byte line and concurrent RLocks false-share.
-	pad [64 - 32]byte //nolint:structcheck // padding only
+	// shards share a 64-byte line and concurrent lookups false-share.
+	pad [64 - 16]byte //nolint:structcheck // padding only
 }
 
 var bindShards [nBindShards]bindShard
 
-func init() {
-	for i := range bindShards {
-		bindShards[i].m = make(map[uintptr]*Session)
+// unlink removes b, which must be in the list, from the shard's list.
+// Must hold sh.mu.
+func (sh *bindShard) unlink(b *binding) {
+	p := &sh.head
+	for n := p.Load(); n != b; n = p.Load() {
+		p = &n.next
 	}
+	p.Store(b.next.Load())
 }
 
 // shardFor picks the shard for a binding key (a pointer in the fast
@@ -48,8 +65,8 @@ func shardFor(key uintptr) *bindShard {
 var activity atomic.Int64
 
 // boundCount counts live goroutine bindings. When zero, Enter skips the
-// binding lookup entirely, which keeps the legacy sequential path (global
-// session, no bindings) at its original cost.
+// binding lookup entirely, which keeps the global path (production
+// masking, no bindings) at its original cost.
 var boundCount atomic.Int64
 
 // Bind runs fn with s bound to the calling goroutine: every instrumented
@@ -66,19 +83,16 @@ func (s *Session) Bind(fn func()) {
 	}
 	key, restore := glsBind()
 	sh := shardFor(key)
+	b := &binding{key: key, s: s}
 	sh.mu.Lock()
-	prev, had := sh.m[key]
-	sh.m[key] = s
+	b.next.Store(sh.head.Load())
+	sh.head.Store(b)
 	sh.mu.Unlock()
 	boundCount.Add(1)
 	activity.Add(1)
 	defer func() {
 		sh.mu.Lock()
-		if had {
-			sh.m[key] = prev
-		} else {
-			delete(sh.m, key)
-		}
+		sh.unlink(b)
 		sh.mu.Unlock()
 		boundCount.Add(-1)
 		activity.Add(-1)
@@ -94,11 +108,12 @@ func bound() *Session {
 	if key == 0 {
 		return nil
 	}
-	sh := shardFor(key)
-	sh.mu.RLock()
-	s := sh.m[key]
-	sh.mu.RUnlock()
-	return s
+	for b := shardFor(key).head.Load(); b != nil; b = b.next.Load() {
+		if b.key == key {
+			return b.s
+		}
+	}
+	return nil
 }
 
 // Current returns the session instrumented calls on this goroutine would

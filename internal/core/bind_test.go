@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -122,6 +123,42 @@ func TestNestedBindRestoresPrevious(t *testing.T) {
 	}
 	if got := inner.Calls()["bindBox.Mutate"]; got != 1 {
 		t.Fatalf("inner saw %d calls, want 1", got)
+	}
+}
+
+// TestBindingsSurviveOutOfOrderUnbinds holds more live bindings than
+// there are shards, so shards share lists, then unbinds them one at a time
+// in an order unrelated to the binding order: every goroutine must keep
+// routing to its own session until its own Bind returns. Run under -race.
+func TestBindingsSurviveOutOfOrderUnbinds(t *testing.T) {
+	const n = 4 * nBindShards
+	sessions := make([]*Session, n)
+	release := make([]chan struct{}, n)
+	finished := make([]chan struct{}, n)
+	var bound sync.WaitGroup
+	for i := range sessions {
+		sessions[i] = NewSession(Config{})
+		release[i] = make(chan struct{})
+		finished[i] = make(chan struct{})
+		bound.Add(1)
+		go func(i int) {
+			defer close(finished[i])
+			sessions[i].Bind(func() {
+				bound.Done()
+				<-release[i]
+				if Current() != sessions[i] {
+					t.Errorf("goroutine %d lost its binding", i)
+				}
+			})
+			if Current() != nil {
+				t.Errorf("goroutine %d still routes to a session after Bind returned", i)
+			}
+		}(i)
+	}
+	bound.Wait()
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		close(release[i])
+		<-finished[i]
 	}
 }
 

@@ -227,11 +227,11 @@ func TestUninstallWrongSessionIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	Uninstall(s2) // must not remove s1
-	if Active() != s1 {
+	if Current() != s1 {
 		t.Fatal("uninstalling a non-active session must be a no-op")
 	}
 	Uninstall(s1)
-	if Active() != nil {
+	if Current() != nil {
 		t.Fatal("uninstall failed")
 	}
 }

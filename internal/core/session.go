@@ -390,9 +390,11 @@ var _active atomic.Pointer[Session]
 // installed.
 var ErrSessionActive = errors.New("core: another session is already installed")
 
-// Install makes s the active global session. It fails if another global
-// session is installed; goroutine-scoped sessions (Session.Bind) are not
-// subject to this exclusivity and may coexist with the global.
+// Install makes s the active global session, the process-wide route that
+// production masking (failatomic.Protect) takes; detection campaigns bind
+// their sessions instead. It fails if another global session is
+// installed; goroutine-scoped sessions (Session.Bind) are not subject to
+// this exclusivity and may coexist with the global.
 func Install(s *Session) error {
 	if s == nil {
 		return errors.New("core: cannot install nil session")
@@ -410,11 +412,6 @@ func Uninstall(s *Session) {
 		activity.Add(-1)
 	}
 }
-
-// Active returns the installed global session, or nil. It ignores
-// goroutine-scoped bindings; see Current for the session a call on this
-// goroutine would actually use.
-func Active() *Session { return _active.Load() }
 
 // nop is the shared prologue epilogue for uninstrumented runs.
 func nop() {}

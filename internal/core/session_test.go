@@ -68,8 +68,8 @@ func TestInstallIsExclusive(t *testing.T) {
 	if err := Install(s2); err != ErrSessionActive {
 		t.Fatalf("second install: got %v, want ErrSessionActive", err)
 	}
-	if Active() != s1 {
-		t.Fatal("Active() should return the installed session")
+	if Current() != s1 {
+		t.Fatal("Current() should return the installed session")
 	}
 }
 

@@ -107,19 +107,17 @@ type Figure5Config struct {
 	// Strategy overrides the checkpoint strategy (nil = deep copy).
 	Strategy checkpoint.Strategy
 	// Parallelism measures the per-object-size rows concurrently (0/1 =
-	// sequential), each cell on a session bound to its worker goroutine.
-	// Concurrent cells contend for cores and pay the goroutine-identity
-	// lookup in every prologue, so parallel sweeps are for quick smoke
-	// runs; paper-grade Figure 5 numbers should stay sequential.
+	// sequential); every cell runs on a session bound to its goroutine.
+	// Concurrent cells contend for cores, so parallel sweeps are for quick
+	// smoke runs; paper-grade Figure 5 numbers should stay sequential.
 	Parallelism int
 	// RunTimeout bounds each (size, fraction) cell: a cell exceeding it
 	// is abandoned (the measurement goroutine cannot be killed — the
 	// same bounded leak as inject's supervisor) and retried up to
 	// MaxRetries times before the sweep fails, so a slow or wedged host
-	// fails the bench loudly instead of hanging it. Supervised cells run
-	// on goroutine-scoped sessions. 0 disables the watchdog. Like
-	// Parallelism, supervision is for smoke sweeps on untrusted hosts;
-	// paper-grade timings should leave it off.
+	// fails the bench loudly instead of hanging it. 0 disables the
+	// watchdog. Like Parallelism, supervision is for smoke sweeps on
+	// untrusted hosts; paper-grade timings should leave it off.
 	RunTimeout time.Duration
 	// MaxRetries re-attempts an expired cell this many extra times.
 	MaxRetries int
@@ -155,7 +153,7 @@ func Figure5(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("harness: sweep interrupted: %w", err)
 		}
-		row, err := measureSizeRow(size, cfg, false)
+		row, err := measureSizeRow(size, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -164,9 +162,9 @@ func Figure5(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, error) {
 	return points, nil
 }
 
-// figure5Parallel sweeps the object-size rows concurrently on scoped
-// sessions, merging rows in size order so the rendered figure matches the
-// sequential sweep cell for cell.
+// figure5Parallel sweeps the object-size rows concurrently, merging rows
+// in size order so the rendered figure matches the sequential sweep cell
+// for cell.
 func figure5Parallel(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, error) {
 	rows := make([][]OverheadPoint, len(cfg.Sizes))
 	errs := make([]error, len(cfg.Sizes))
@@ -186,7 +184,7 @@ func figure5Parallel(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, e
 				errs[i] = fmt.Errorf("harness: sweep interrupted: %w", err)
 				return
 			}
-			rows[i], errs[i] = measureSizeRow(size, cfg, true)
+			rows[i], errs[i] = measureSizeRow(size, cfg)
 		}(i, size)
 	}
 	wg.Wait()
@@ -202,8 +200,8 @@ func figure5Parallel(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, e
 
 // measureSizeRow measures one object-size row: the 0%-masked baseline
 // first, then every masked fraction against it.
-func measureSizeRow(size int, cfg Figure5Config, scoped bool) ([]OverheadPoint, error) {
-	base, cpBytes, err := measureCell(size, cfg, 0, scoped)
+func measureSizeRow(size int, cfg Figure5Config) ([]OverheadPoint, error) {
+	base, cpBytes, err := measureCell(size, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +209,7 @@ func measureSizeRow(size int, cfg Figure5Config, scoped bool) ([]OverheadPoint, 
 	for _, frac := range cfg.FracsPct {
 		ns := base
 		if frac > 0 {
-			ns, _, err = measureCell(size, cfg, frac, scoped)
+			ns, _, err = measureCell(size, cfg, frac)
 			if err != nil {
 				return nil, err
 			}
@@ -231,12 +229,11 @@ func measureSizeRow(size int, cfg Figure5Config, scoped bool) ([]OverheadPoint, 
 // measureCell runs one (size, fraction) cell through the RunTimeout
 // watchdog when one is configured, otherwise directly. An expired cell
 // is abandoned — the measurement goroutine cannot be killed, the same
-// bounded leak inject's supervisor accepts — so supervised cells always
-// run goroutine-scoped: an abandoned goroutine must never keep holding
-// the global session slot.
-func measureCell(size int, cfg Figure5Config, fracPct float64, scoped bool) (float64, int, error) {
+// bounded leak inject's supervisor accepts; its session is bound to that
+// goroutine, so it never reaches another cell.
+func measureCell(size int, cfg Figure5Config, fracPct float64) (float64, int, error) {
 	if cfg.RunTimeout <= 0 {
-		return measureMasking(size, cfg, fracPct, scoped)
+		return measureMasking(size, cfg, fracPct)
 	}
 	type cellResult struct {
 		ns      float64
@@ -246,7 +243,7 @@ func measureCell(size int, cfg Figure5Config, fracPct float64, scoped bool) (flo
 	for attempt := 0; ; attempt++ {
 		ch := make(chan cellResult, 1)
 		go func() {
-			ns, cp, err := measureMasking(size, cfg, fracPct, true)
+			ns, cp, err := measureMasking(size, cfg, fracPct)
 			ch <- cellResult{ns, cp, err}
 		}()
 		timer := time.NewTimer(cfg.RunTimeout)
@@ -264,32 +261,21 @@ func measureCell(size int, cfg Figure5Config, fracPct float64, scoped bool) (flo
 }
 
 // measureMasking times one (size, fraction) cell and returns the median
-// per-call nanoseconds plus the checkpoint payload size. With scoped set
-// the session is bound to this goroutine instead of installed globally,
-// so cells may run concurrently.
-func measureMasking(objectBytes int, cfg Figure5Config, fracPct float64, scoped bool) (float64, int, error) {
+// per-call nanoseconds plus the checkpoint payload size. The session is
+// bound to this goroutine, so cells may run concurrently.
+func measureMasking(objectBytes int, cfg Figure5Config, fracPct float64) (ns float64, cpBytes int, err error) {
 	session := core.NewSession(core.Config{
 		Mask:        true,
 		MaskMethods: map[string]bool{"BenchTarget.WorkMasked": true},
 		Strategy:    cfg.Strategy,
 	})
-	if scoped {
-		var ns float64
-		var cpBytes int
-		var err error
-		session.Bind(func() {
-			ns, cpBytes, err = timeMasking(objectBytes, cfg, fracPct)
-		})
-		return ns, cpBytes, err
-	}
-	if err := core.Install(session); err != nil {
-		return 0, 0, err
-	}
-	defer core.Uninstall(session)
-	return timeMasking(objectBytes, cfg, fracPct)
+	session.Bind(func() {
+		ns, cpBytes, err = timeMasking(objectBytes, cfg, fracPct)
+	})
+	return ns, cpBytes, err
 }
 
-// timeMasking runs the measurement loop under an already-routed session.
+// timeMasking runs the measurement loop under an already-bound session.
 func timeMasking(objectBytes int, cfg Figure5Config, fracPct float64) (float64, int, error) {
 	target := NewBenchTarget(objectBytes)
 	cp, err := checkpoint.Capture(target)

@@ -82,17 +82,11 @@ func Figure5Journal(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, er
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("harness: sweep interrupted: %w", err)
 		}
-		base, err := measureJournal(size, cfg, 0)
-		if err != nil {
-			return nil, err
-		}
+		base := measureJournal(size, cfg, 0)
 		for _, frac := range cfg.FracsPct {
 			ns := base
 			if frac > 0 {
-				ns, err = measureJournal(size, cfg, frac)
-				if err != nil {
-					return nil, err
-				}
+				ns = measureJournal(size, cfg, frac)
 			}
 			points = append(points, OverheadPoint{
 				ObjectBytes:     size,
@@ -107,17 +101,14 @@ func Figure5Journal(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, er
 	return points, nil
 }
 
-func measureJournal(objectBytes int, cfg Figure5Config, fracPct float64) (float64, error) {
+// measureJournal times one undo-log cell on a session bound to this
+// goroutine and returns the median per-call nanoseconds.
+func measureJournal(objectBytes int, cfg Figure5Config, fracPct float64) float64 {
 	session := core.NewSession(core.Config{
 		Mask:        true,
 		MaskMethods: map[string]bool{"JournalTarget.WorkMasked": true},
 		Strategy:    checkpoint.UndoLog(),
 	})
-	if err := core.Install(session); err != nil {
-		return 0, err
-	}
-	defer core.Uninstall(session)
-
 	target := NewJournalTarget(objectBytes)
 	masked := int(float64(cfg.Calls) * fracPct / 100)
 	step := 0
@@ -126,16 +117,18 @@ func measureJournal(objectBytes int, cfg Figure5Config, fracPct float64) (float6
 	}
 
 	times := make([]float64, 0, cfg.Runs)
-	for run := 0; run < cfg.Runs; run++ {
-		start := time.Now()
-		for i := 0; i < cfg.Calls; i++ {
-			if step > 0 && i%step == 0 {
-				target.WorkMasked()
-			} else {
-				target.Work()
+	session.Bind(func() {
+		for run := 0; run < cfg.Runs; run++ {
+			start := time.Now()
+			for i := 0; i < cfg.Calls; i++ {
+				if step > 0 && i%step == 0 {
+					target.WorkMasked()
+				} else {
+					target.Work()
+				}
 			}
+			times = append(times, float64(time.Since(start).Nanoseconds())/float64(cfg.Calls))
 		}
-		times = append(times, float64(time.Since(start).Nanoseconds())/float64(cfg.Calls))
-	}
-	return median(times), nil
+	})
+	return median(times)
 }

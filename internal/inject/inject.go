@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -241,22 +242,16 @@ type Options struct {
 	// forces full graphs everywhere (the escape hatches).
 	Snapshot core.SnapshotMode
 	// Parallelism is the number of worker goroutines exploring injection
-	// points concurrently (0 or 1 = sequential, the legacy behavior).
-	// Each worker binds its own session to its goroutine
-	// (core.Session.Bind), so parallel campaigns never contend for the
-	// global session slot; Runs are merged deterministically in point
-	// order, making the result identical to a sequential campaign over a
-	// deterministic workload. Workloads that spawn goroutines must stay
-	// sequential: a scoped session does not follow child goroutines.
+	// points concurrently (0 or 1 = one worker, a sequential campaign).
+	// Every execution binds its own session to the goroutine running it
+	// (core.Session.Bind), so campaigns never contend for a process-wide
+	// slot and any number of them may share a process; Runs are merged in
+	// plan order, making the result identical for every Parallelism over a
+	// deterministic workload. In the default build a bound session follows
+	// the goroutines the workload spawns. Under -tags
+	// failatomic_portable_gls it does not: instrumented calls on spawned
+	// goroutines go unobserved, in sequential campaigns too.
 	Parallelism int
-	// Scoped runs every injector execution on a session bound to its
-	// goroutine (core.Session.Bind) even when the campaign is sequential
-	// and unsupervised, instead of the legacy exclusive global session.
-	// Required when several campaigns share one process — faserve's worker
-	// pool — since the global slot admits only one session at a time. Over
-	// a deterministic workload the result is identical either way.
-	// Supervised and parallel campaigns are always scoped.
-	Scoped bool
 	// RunTimeout bounds each injector execution. On expiry the supervisor
 	// abandons the run's goroutine (goroutines are unkillable; the leak is
 	// bounded — see supervise.go), records the attempt as hung, and
@@ -274,8 +269,8 @@ type Options struct {
 	// OnRun streams every completed run as the campaign progresses — the
 	// crash-safe journal hook. Runs arrive clean-run first, then in plan
 	// order when sequential and completion order when parallel; an error
-	// aborts the campaign. Under Parallelism the sink is called from
-	// worker goroutines concurrently and must serialize itself
+	// aborts the campaign. The sink is called from worker goroutines, under
+	// Parallelism > 1 concurrently, and must then serialize itself
 	// (replog.Journal does).
 	OnRun func(Run) error
 	// Completed maps run keys recovered from a journal to their recorded
@@ -297,8 +292,8 @@ type Options struct {
 }
 
 // supervised reports whether the per-run watchdog/retry/quarantine layer
-// is active. Unsupervised campaigns keep the legacy behavior exactly: no
-// extra goroutine per run, foreign escapes recorded as ordinary runs.
+// is active. Unsupervised campaigns run each execution directly on its
+// worker goroutine and record foreign escapes as ordinary runs.
 func (o Options) supervised() bool {
 	return o.RunTimeout > 0 || o.MaxRetries > 0
 }
@@ -324,6 +319,18 @@ var ErrQuarantineBudget = errors.New("inject: campaign exceeded MaxQuarantined")
 // threshold each time exactly as in Step 3. The context cancels the
 // campaign between runs (and mid-run when supervised); runs already
 // streamed to Options.OnRun survive for resume.
+//
+// Each injector run constructs fresh objects and binds its own session, so
+// the runs after the clean one are independent: max(1, Parallelism)
+// workers claim experiments from an atomic cursor, and the results are
+// merged in plan order, so a deterministic workload yields the same Result
+// for any number of workers.
+//
+// Failure handling is two-tier: per-point failures (hangs, foreign-panic
+// crashes) are retried and quarantined by the supervisor and never cancel
+// the pool by themselves; only campaign-level failures — cancellation, a
+// blown run or quarantine budget, a journal write error — stop every
+// worker.
 func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	if p == nil || p.Run == nil {
 		return nil, errors.New("inject: program must have a Run function")
@@ -335,11 +342,9 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	if maxRuns <= 0 {
 		maxRuns = DefaultMaxRuns
 	}
-	if opts.Parallelism > 1 {
-		return parallelCampaign(ctx, p, opts, maxRuns)
-	}
 
-	clean, err := cleanRun(ctx, p, opts, opts.supervised() || opts.Scoped)
+	// The clean run must finish first — it sizes the injection space.
+	clean, err := cleanRun(ctx, p, opts)
 	if err != nil {
 		return nil, fmt.Errorf("clean run: %w", err)
 	}
@@ -356,53 +361,116 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		return nil, err
 	}
 	opts.exits = clean.exits
-
-	t := tally{res: res, max: opts.MaxQuarantined}
-	if err := t.add(clean.run); err != nil {
-		return nil, err
-	}
-	res.addTelemetry(clean)
 	if _, journaled := opts.Completed[RunKey{}]; !journaled {
 		if err := notifyRun(opts, clean.run); err != nil {
 			return nil, err
 		}
 	}
-	for _, ex := range exps {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("inject: campaign interrupted before %s: %w", ex.Key, err)
-		}
-		out, journaled, err := experimentRun(ctx, p, ex, opts)
-		if err != nil {
-			return nil, fmt.Errorf("injection %s: %w", ex.Key, err)
-		}
-		if err := t.add(out.run); err != nil {
-			return nil, err
-		}
-		res.addTelemetry(out)
-		if !journaled {
-			if err := notifyRun(opts, out.run); err != nil {
-				return nil, err
+
+	total := len(exps)
+	workers := min(max(1, opts.Parallelism), total)
+
+	// res.Runs[0] is the clean run and res.Runs[i+1] is written by the one
+	// worker that ran exps[i]; tele[w] sums worker w's telemetry. The
+	// merge needs nothing else of a session, so no call map, trace or
+	// exits outlives its run.
+	res.Runs = make([]Run, total+1)
+	res.Runs[0] = clean.run
+	res.addTelemetry(clean)
+	tele := make([]execution, workers)
+	var (
+		next        atomic.Int64 // experiments claimed so far
+		budget      atomic.Int64 // executions performed, clean run included
+		quarantines atomic.Int64 // early-stop mirror of the merge-time tally
+		stop        atomic.Bool  // campaign-level cancellation flag
+		errOnce     sync.Once
+		firstErr    error
+		wg          sync.WaitGroup
+	)
+	budget.Store(1) // the clean run already spent one execution
+	fail := func(err error) {
+		errOnce.Do(func() { firstErr = err })
+		stop.Store(true)
+	}
+	for w := range tele {
+		wg.Add(1)
+		go func(tele *execution) {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= total {
+					return
+				}
+				ex := exps[i]
+				if err := ctx.Err(); err != nil {
+					fail(fmt.Errorf("inject: campaign interrupted before %s: %w", ex.Key, err))
+					return
+				}
+				out, journaled, err := runExperiment(ctx, p, ex, opts, &budget, maxRuns)
+				if err != nil {
+					fail(err)
+					return
+				}
+				res.Runs[i+1] = out.run
+				tele.addTelemetry(out)
+				if out.run.Status != RunOK {
+					// Early stop only; the plan-order merge below is the
+					// authority and recomputes the same budget.
+					if q := quarantines.Add(1); opts.MaxQuarantined > 0 && q > int64(opts.MaxQuarantined) {
+						fail(fmt.Errorf("%w: %d points quarantined > %d", ErrQuarantineBudget, q, opts.MaxQuarantined))
+						return
+					}
+				}
+				if !journaled {
+					if err := notifyRun(opts, out.run); err != nil {
+						fail(err)
+						return
+					}
+				}
 			}
+		}(&tele[w])
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	for _, t := range tele {
+		res.addTelemetry(t)
+	}
+
+	// Deterministic merge: Injections, warnings and quarantines are
+	// accumulated in plan order regardless of which worker ran which
+	// experiment.
+	t := tally{res: res, max: opts.MaxQuarantined}
+	for _, run := range res.Runs {
+		if err := t.add(run); err != nil {
+			return nil, err
 		}
 	}
 	t.finish()
 	return res, nil
 }
 
-// experimentRun produces the execution for one planned experiment:
-// spliced from the resume journal if present, otherwise executed (under
-// the supervisor when one is configured). The bool reports whether the
-// run was spliced.
-func experimentRun(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, bool, error) {
+// runExperiment produces one experiment's execution inside a worker:
+// spliced from the resume journal (free — no budget spend), or executed
+// under the supervisor when one is configured. The bool reports whether
+// the run was spliced.
+func runExperiment(ctx context.Context, p *Program, ex Experiment, opts Options, budget *atomic.Int64, maxRuns int) (execution, bool, error) {
 	if run, ok := opts.Completed[ex.Key]; ok {
 		return execution{run: run}, true, nil
+	}
+	// The up-front checkBudget guard makes this unreachable for a fixed
+	// experiment plan; it hard-stops the pool if the plan was undercounted
+	// (defense in depth for the shared budget). Retries are deliberately
+	// not charged: they are bounded by MaxRetries per experiment.
+	if n := budget.Add(1); n > int64(maxRuns) {
+		return execution{}, false, fmt.Errorf("%w: execution %d > %d", ErrTooManyRuns, n, maxRuns)
 	}
 	if opts.supervised() {
 		out, err := supervise(ctx, p, ex, opts)
 		return out, false, err
 	}
-	out, err := execute(p, ex, opts, opts.Scoped)
-	return out, false, err
+	return execute(p, ex, opts), false, nil
 }
 
 // notifyRun streams one completed run to the journal hook.
@@ -441,8 +509,8 @@ func validateCompleted(completed map[RunKey]Run, exps []Experiment, totalPoints 
 	return nil
 }
 
-// tally accumulates the bookkeeping both campaign modes share when a run
-// enters the Result: injections, dead-point warnings, quarantines and the
+// tally accumulates the bookkeeping of the plan-order merge over the
+// Result's runs: injections, dead-point warnings, quarantines and the
 // quarantine budget.
 type tally struct {
 	res         *Result
@@ -452,7 +520,6 @@ type tally struct {
 }
 
 func (t *tally) add(run Run) error {
-	t.res.Runs = append(t.res.Runs, run)
 	if run.InjectionPoint == 0 {
 		return nil
 	}
@@ -656,9 +723,8 @@ func (r *Result) MaskStatTotals() map[string]core.MaskStat {
 // cleanRun performs the space-sizing clean execution. Supervised
 // campaigns run it under the watchdog, but a clean run that still hangs
 // or crashes after its retries is a hard error — without it there is no
-// point space to quarantine within. Unsupervised sequential campaigns
-// keep the legacy exclusive global session; everything else runs scoped.
-func cleanRun(ctx context.Context, p *Program, opts Options, scoped bool) (execution, error) {
+// point space to quarantine within.
+func cleanRun(ctx context.Context, p *Program, opts Options) (execution, error) {
 	if err := ctx.Err(); err != nil {
 		return execution{}, err
 	}
@@ -674,7 +740,7 @@ func cleanRun(ctx context.Context, p *Program, opts Options, scoped bool) (execu
 		}
 		return out, nil
 	}
-	return execute(p, ex, opts, scoped)
+	return execute(p, ex, opts), nil
 }
 
 // needsDiffRecovery reports whether a fingerprint-mode run recorded a
@@ -691,10 +757,9 @@ func needsDiffRecovery(run Run) bool {
 }
 
 // execute performs one injector run of ex, catching the exception that
-// escapes the workload's top level. Scoped runs bind their session to the
+// escapes the workload's top level. The run's session is bound to the
 // calling goroutine, so any number of runs may proceed concurrently on
-// different goroutines; unscoped runs use the legacy exclusive global
-// session and fail if another session is installed.
+// different goroutines.
 //
 // Under fingerprint snapshots, a run that records a non-atomic mark is
 // deterministically re-executed in capture mode to recover the
@@ -704,10 +769,10 @@ func needsDiffRecovery(run Run) bool {
 // and a mismatch is counted. Sitting here, the recovery pass also covers
 // parallel workers and supervised attempts (a crashed attempt keeps its
 // marks for triage, so it too is replayed).
-func execute(p *Program, ex Experiment, opts Options, scoped bool) (execution, error) {
-	out, err := executeLazily(p, ex, opts, scoped)
-	if err != nil || !opts.Snapshot.Fingerprinted() || !needsDiffRecovery(out.run) {
-		return out, err
+func execute(p *Program, ex Experiment, opts Options) execution {
+	out := executeLazily(p, ex, opts)
+	if !opts.Snapshot.Fingerprinted() || !needsDiffRecovery(out.run) {
+		return out
 	}
 	// A supervised attempt that crashed with a foreign panic belongs to the
 	// supervisor's retry policy, not the recovery pass: replaying here
@@ -715,7 +780,7 @@ func execute(p *Program, ex Experiment, opts Options, scoped bool) (execution, e
 	// The supervisor recovers diffs for the marks it ultimately keeps (see
 	// quarantined).
 	if opts.supervised() && out.run.Escaped != nil && out.run.Escaped.Foreign {
-		return out, nil
+		return out
 	}
 	opts.Snapshot = core.SnapshotCapture
 	if out.stats.Reruns > 0 {
@@ -723,11 +788,7 @@ func execute(p *Program, ex Experiment, opts Options, scoped bool) (execution, e
 		// to snapshotting every call.
 		ex.firstFire = 0
 	}
-	replay, err := executeLazily(p, ex, opts, scoped)
-	if err != nil {
-		return execution{}, err
-	}
-	return adoptReplay(out, replay), nil
+	return adoptReplay(out, executeLazily(p, ex, opts))
 }
 
 // adoptReplay returns the capture replay that replaces the fingerprint
@@ -769,43 +830,33 @@ var snapshotEverything atomic.Bool
 // was skipped unwound, the profile mispredicted it and the run is
 // re-executed with every call snapshotted — the same execution a campaign
 // without a profile performs.
-func executeLazily(p *Program, ex Experiment, opts Options, scoped bool) (execution, error) {
+func executeLazily(p *Program, ex Experiment, opts Options) execution {
 	if snapshotEverything.Load() {
 		ex.firstFire = 0
 	}
-	out, err := executeOnce(p, ex, opts, scoped)
-	if err != nil || !out.mispredicted {
-		return out, err
+	out := executeOnce(p, ex, opts)
+	if !out.mispredicted {
+		return out
 	}
 	ex.firstFire = 0
-	full, err := executeOnce(p, ex, opts, scoped)
-	if err != nil {
-		return execution{}, err
-	}
+	full := executeOnce(p, ex, opts)
 	full.addTelemetry(out)
 	full.stats.Reruns++
-	return full, nil
+	return full
 }
 
-// executeOnce performs one attempt of ex, snapshotting lazily from the
-// campaign's call-exit profile unless ex.firstFire is 0.
-func executeOnce(p *Program, ex Experiment, opts Options, scoped bool) (execution, error) {
+// executeOnce performs one attempt of ex on a session bound to the calling
+// goroutine, snapshotting lazily from the campaign's call-exit profile
+// unless ex.firstFire is 0.
+func executeOnce(p *Program, ex Experiment, opts Options) execution {
 	session := newSession(p, ex, opts)
 	session.SnapshotLazily(opts.exits, ex.firstFire)
 	run := workload(p, opts)
 	var escaped *fault.Exception
-	if scoped {
-		session.Bind(func() {
-			escaped = runGuarded(run)
-		})
-	} else {
-		if err := core.Install(session); err != nil {
-			return execution{}, err
-		}
-		defer core.Uninstall(session)
+	session.Bind(func() {
 		escaped = runGuarded(run)
-	}
-	return collect(session, ex, escaped), nil
+	})
+	return collect(session, ex, escaped)
 }
 
 // runGuarded invokes the workload and converts an escaping panic into the

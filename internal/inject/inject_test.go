@@ -209,8 +209,8 @@ func TestCampaignLeavesNoSession(t *testing.T) {
 	if _, err := Campaign(context.Background(), testProgram(), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if core.Active() != nil {
-		t.Fatal("campaign must uninstall its sessions")
+	if core.Current() != nil {
+		t.Fatal("campaign must unbind its sessions")
 	}
 }
 

@@ -73,7 +73,8 @@ func lazyAndEverything(t *testing.T, app apps.App, opts inject.Options, withRepo
 
 // TestLazySnapshotsMatchSnapshotEverything pins the lazy-snapshot rule
 // as invisible in output: every Table-1 app, under both snapshot engines
-// and every execution path (global, scoped, parallel, supervised),
+// and every execution path (sequential, parallel, supervised — all on
+// scoped sessions),
 // produces the same log and report as a campaign that snapshots every
 // call — with no misprediction rerun and far fewer snapshots.
 func TestLazySnapshotsMatchSnapshotEverything(t *testing.T) {
@@ -81,8 +82,7 @@ func TestLazySnapshotsMatchSnapshotEverything(t *testing.T) {
 		name string
 		opts inject.Options
 	}{
-		{"global", inject.Options{}},
-		{"scoped", inject.Options{Scoped: true}},
+		{"scoped", inject.Options{}},
 		{"parallel", inject.Options{Parallelism: 2}},
 		{"supervised", inject.Options{MaxRetries: 1}},
 	}
@@ -92,7 +92,7 @@ func TestLazySnapshotsMatchSnapshotEverything(t *testing.T) {
 				opts := mode.opts
 				opts.Snapshot = engine
 				// Reports re-run a masked campaign; one path covers them.
-				withReport := mode.name == "global"
+				withReport := mode.name == "scoped"
 				for _, app := range apps.All() {
 					lazy, full := lazyAndEverything(t, app, opts, withReport)
 					s := lazy.res.Snapshots

@@ -60,7 +60,7 @@ func TestMispredictedRunIsReexecutedInFull(t *testing.T) {
 	for _, mode := range []core.SnapshotMode{core.SnapshotFingerprint, core.SnapshotCapture} {
 		opts := Options{Snapshot: mode}
 		p := warmProgram()
-		clean, err := cleanRun(context.Background(), p, opts, false)
+		clean, err := cleanRun(context.Background(), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,16 +70,10 @@ func TestMispredictedRunIsReexecutedInFull(t *testing.T) {
 		if ex.point != 5 || ex.firstFire != 5 || opts.exits == nil {
 			t.Fatalf("experiment %s carries no lazy profile", ex.Key)
 		}
-		lazy, err := execute(p, ex, opts, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lazy := execute(p, ex, opts)
 		snapshotEverything.Store(true)
-		full, err := execute(p, ex, opts, false)
+		full := execute(p, ex, opts)
 		snapshotEverything.Store(false)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !reflect.DeepEqual(lazy.run, full.run) {
 			t.Fatalf("%s: mispredicted run differs from snapshot-everything:\n got %+v\nwant %+v", mode, lazy.run, full.run)
 		}

@@ -54,29 +54,9 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestScopedCampaignMatchesSequential: Options.Scoped moves a sequential
-// campaign off the exclusive global session without changing its Result —
-// the property faserve's concurrent worker pool relies on.
-func TestScopedCampaignMatchesSequential(t *testing.T) {
-	seq, err := Campaign(context.Background(), testProgram(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scoped, err := Campaign(context.Background(), testProgram(), Options{Scoped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(scoped.Runs, seq.Runs) || !reflect.DeepEqual(scoped.Warnings, seq.Warnings) {
-		t.Fatal("scoped campaign must reproduce the sequential Result exactly")
-	}
-	if core.Active() != nil {
-		t.Fatal("no global session may leak from a scoped campaign")
-	}
-}
-
-// TestScopedCampaignsRunConcurrently: two sequential-but-scoped campaigns
-// in flight at once must not contend for the global slot — the exact
-// failure mode of two faserve jobs on one process.
+// TestScopedCampaignsRunConcurrently: sequential campaigns with default
+// options in flight at once must not contend for a process-wide session
+// slot — the exact failure mode of two faserve jobs on one process.
 func TestScopedCampaignsRunConcurrently(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -84,7 +64,7 @@ func TestScopedCampaignsRunConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = Campaign(context.Background(), testProgram(), Options{Scoped: true})
+			_, errs[i] = Campaign(context.Background(), testProgram(), Options{})
 		}(i)
 	}
 	wg.Wait()
@@ -162,8 +142,8 @@ func TestConcurrentCampaigns(t *testing.T) {
 			t.Fatalf("campaign %d disagrees with campaign 0", i)
 		}
 	}
-	if core.Active() != nil {
-		t.Fatal("no global session may leak from scoped campaigns")
+	if core.Current() != nil {
+		t.Fatal("no session may leak from concurrent campaigns")
 	}
 }
 

@@ -47,41 +47,38 @@ func TestForeignStackStartsAtWorkload(t *testing.T) {
 			root.Get().Touch()
 		},
 	}
-	for _, scoped := range []bool{false, true} {
-		res, err := inject.Campaign(context.Background(), p, inject.Options{
-			Scoped:        scoped,
-			Perturbations: []inject.Perturbation{inject.Oblivious{}},
-		})
-		if err != nil {
-			t.Fatal(err)
+	res, err := inject.Campaign(context.Background(), p, inject.Options{
+		Perturbations: []inject.Perturbation{inject.Oblivious{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stacks []string
+	for _, run := range res.Runs {
+		if run.Strategy != "oblivious" || run.Escaped == nil || !run.Escaped.Foreign {
+			continue
 		}
-		var stacks []string
-		for _, run := range res.Runs {
-			if run.Strategy != "oblivious" || run.Escaped == nil || !run.Escaped.Foreign {
-				continue
-			}
-			stacks = append(stacks, run.Escaped.Stack)
-			for _, m := range run.Marks {
-				if m.Exception != nil && m.Exception.Foreign {
-					stacks = append(stacks, m.Exception.Stack)
-				}
+		stacks = append(stacks, run.Escaped.Stack)
+		for _, m := range run.Marks {
+			if m.Exception != nil && m.Exception.Foreign {
+				stacks = append(stacks, m.Exception.Stack)
 			}
 		}
-		if len(stacks) == 0 {
-			t.Fatal("no oblivious run crashed; the workload no longer exercises the re-panic path")
+	}
+	if len(stacks) == 0 {
+		t.Fatal("no oblivious run crashed; the workload no longer exercises the re-panic path")
+	}
+	for _, st := range stacks {
+		if !strings.HasPrefix(st, "failatomic/internal/inject_test.(*box).Touch (stack_test.go:") {
+			t.Errorf("stack does not start at the crash site: %q", st)
 		}
-		for _, st := range stacks {
-			if !strings.HasPrefix(st, "failatomic/internal/inject_test.(*box).Touch (stack_test.go:") {
-				t.Errorf("scoped=%v: stack does not start at the crash site: %q", scoped, st)
-			}
-			frames := strings.Split(st, " <- ")
-			if last := frames[len(frames)-1]; !strings.HasPrefix(last, "failatomic/internal/inject_test.TestForeignStackStartsAtWorkload.func1 (stack_test.go:") {
-				t.Errorf("scoped=%v: stack does not end at the program's Run closure: %q", scoped, st)
-			}
-			for _, tool := range []string{"failatomic/internal/core.", "failatomic/internal/inject.", " panic (", "runtime.", "testing.", "harness."} {
-				if strings.Contains(st, tool) {
-					t.Errorf("scoped=%v: stack carries %q frames: %q", scoped, tool, st)
-				}
+		frames := strings.Split(st, " <- ")
+		if last := frames[len(frames)-1]; !strings.HasPrefix(last, "failatomic/internal/inject_test.TestForeignStackStartsAtWorkload.func1 (stack_test.go:") {
+			t.Errorf("stack does not end at the program's Run closure: %q", st)
+		}
+		for _, tool := range []string{"failatomic/internal/core.", "failatomic/internal/inject.", " panic (", "runtime.", "testing.", "harness."} {
+			if strings.Contains(st, tool) {
+				t.Errorf("stack carries %q frames: %q", tool, st)
 			}
 		}
 	}

@@ -87,9 +87,7 @@ func superviseAttempt(ctx context.Context, p *Program, ex Experiment, opts Optio
 				}}
 			}
 		}()
-		// Scoped sessions need no exclusive slot, so execute cannot fail.
-		out, _ := execute(p, ex, opts, true)
-		ch <- out
+		ch <- execute(p, ex, opts)
 	}()
 	var expire <-chan time.Time
 	if opts.RunTimeout > 0 {
@@ -132,7 +130,7 @@ func quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int,
 	// one keeps the diffless original rather than a run it never had).
 	if opts.Snapshot.Fingerprinted() && needsDiffRecovery(last.run) {
 		opts.Snapshot = core.SnapshotCapture
-		replay, _ := executeLazily(p, ex, opts, true)
+		replay := executeLazily(p, ex, opts)
 		if replay.run.Escaped != nil && replay.run.Escaped.Foreign {
 			last = adoptReplay(last, replay)
 		} else {

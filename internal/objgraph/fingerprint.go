@@ -25,12 +25,10 @@ import (
 // digest (reference ids numbered relative to the frame) and the digests
 // fold into a top-level combiner keyed by root position. Framing makes a
 // root's digest independent of its argument position and of its sibling
-// roots, which is what lets FPCache reuse subgraph contributions and what
-// lets independent roots hash on parallel workers with a byte-identical
-// combined result. Roots that alias each other can't be framed
-// independently — the traversal detects the first cross-root reference
-// and falls back to one global traversal (old-style shared ids) with a
-// distinguishing marker word. Path selection is a pure function of the
+// roots, which is what lets FPCache reuse subgraph contributions. Roots
+// that alias each other can't be framed independently — the traversal
+// detects the first cross-root reference and falls back to one global
+// traversal (old-style shared ids) with a distinguishing marker word. Path selection is a pure function of the
 // Capture graph (a cross-root alias appears in Capture as a backref into
 // an earlier root), so capture-equal graphs always take the same path and
 // the equality contract below survives framing.
@@ -52,10 +50,9 @@ func Fingerprint(roots ...any) FP {
 
 // FingerprintCached is Fingerprint backed by a session-owned incremental
 // cache: large flat leaves replay memoized content digests after an exact
-// verification compare, single pointer roots whose cache generation is
-// unchanged reuse their whole-frame digest without traversal, and large
-// multi-root graphs hash their independent roots on a small worker pool.
-// The result is always identical to Fingerprint(roots...); the cache only
+// verification compare, and single pointer roots whose cache generation
+// is unchanged reuse their whole-frame digest without traversal. The
+// result is always identical to Fingerprint(roots...); the cache only
 // changes how fast it is computed. c may be nil (plain Fingerprint).
 //
 // The cache is not safe for concurrent use — one FPCache per session.
@@ -64,17 +61,6 @@ func FingerprintCached(c *FPCache, roots ...any) FP {
 }
 
 func fingerprintRoots(c *FPCache, roots []any) FP {
-	if c != nil && c.parallelEligible(len(roots)) {
-		// The worker goroutines capture the slice, which would make every
-		// caller's variadic slice escape; a private copy confines the heap
-		// allocation to this (rare, already goroutine-spawning) path.
-		rs := make([]any, len(roots))
-		copy(rs, roots)
-		if fp, ok := fingerprintParallel(c, rs); ok {
-			return fp
-		}
-		return fingerprintGlobal(c, rs)
-	}
 	if fp, ok := fingerprintFramed(c, roots); ok {
 		return fp
 	}
@@ -113,9 +99,6 @@ func fingerprintFramed(c *FPCache, roots []any) (fp FP, ok bool) {
 			top.word(d[1])
 		}
 	}()
-	if c != nil {
-		c.noteWork(e.work)
-	}
 	e.release()
 	if !ok {
 		return FP{}, false
@@ -140,9 +123,6 @@ func fingerprintGlobal(c *FPCache, roots []any) FP {
 		e.encode(v, planFor(v.Type()), rootLabelHash(i))
 	}
 	fp := e.h.sum()
-	if c != nil {
-		c.noteWork(e.work)
-	}
 	e.release()
 	return fp
 }
@@ -224,9 +204,6 @@ type fpEncoder struct {
 	// rootBase is the id watermark at the current frame's start; emitted
 	// ref ids are relative to it.
 	rootBase int
-	// work approximates hash effort in words, feeding the parallel-lane
-	// engagement heuristic.
-	work int
 	// scratch is reused for byte extraction from unexported slices and
 	// unaddressable arrays.
 	scratch []byte
@@ -251,7 +228,6 @@ func (e *fpEncoder) release() {
 	e.cache = nil
 	e.detectCross = false
 	e.rootBase = 0
-	e.work = 0
 	fpPool.Put(e)
 }
 
@@ -276,7 +252,6 @@ func (e *fpEncoder) leafDigest(b []byte, stable bool) FP {
 // leaf folds one node header into the hash: kind, type, edge label — the
 // first three fields Diff compares.
 func (e *fpEncoder) leaf(kind Kind, typeHash, labelKey uint64) {
-	e.work++
 	e.h.word(uint64(kind))
 	e.h.word(typeHash)
 	e.h.word(labelKey)
@@ -344,7 +319,6 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			}
 			e.h.word(d[0])
 			e.h.word(d[1])
-			e.work += len(s) / 8
 			return
 		}
 		e.h.str(s)
@@ -403,7 +377,6 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 					b[i] = byte(v.Index(i).Uint())
 				}
 			}
-			e.work += n / 8
 			if n >= fpLeafFrameMin {
 				d := e.leafDigest(b, stable)
 				e.h.word(d[0])
@@ -437,7 +410,6 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			}
 			e.h.word(d[0])
 			e.h.word(d[1])
-			e.work += n / 8
 			return
 		}
 		for i := 0; i < n; i++ {

@@ -25,7 +25,6 @@ func perturbedRuns(t *testing.T) []inject.Run {
 	}
 	res, err := inject.Campaign(context.Background(), app.Build(), inject.Options{
 		Perturbations: perts,
-		Scoped:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -129,9 +129,7 @@ func (sp JobSpec) concurSpec() concur.Spec {
 }
 
 // Options converts the spec to campaign options (journal hooks are the
-// server's, not the client's). Jobs always run scoped: the worker pool
-// executes campaigns concurrently in one process, so none of them may
-// claim the exclusive global session slot.
+// server's, not the client's).
 func (sp JobSpec) Options() inject.Options {
 	// The mode and perturbation list were validated at admission; an
 	// unparseable value in a hand-edited spec falls back to the defaults.
@@ -145,7 +143,6 @@ func (sp JobSpec) Options() inject.Options {
 		MaxQuarantined: sp.MaxQuarantined,
 		Snapshot:       mode,
 		Perturbations:  perturbations,
-		Scoped:         true,
 	}
 }
 
